@@ -157,15 +157,6 @@ def _add_align(subparsers) -> None:
         "(output is byte-identical for any value)",
     )
     parser.add_argument(
-        "--no-streaming",
-        dest="streaming",
-        action="store_false",
-        default=None,
-        help="run parallel strand extension as barrier phases instead "
-        "of the streamed seed->filter->extend dataflow (A/B lever; "
-        "output is byte-identical either way)",
-    )
-    parser.add_argument(
         "--index-cache",
         type=Path,
         default=None,
@@ -380,7 +371,6 @@ def _cmd_align(args) -> int:
                 index_cache=args.index_cache,
                 resilience=resilience,
                 telemetry=telemetry,
-                streaming=args.streaming,
             )
             with aligner:
                 result = aligner.align(targets[0], queries[0])

@@ -6,13 +6,20 @@ banded-Smith-Waterman gapped filtering, and GACT-X tiled extension with
 anchor absorption.  Per-stage workload counters (seeds, filter tiles,
 extension tiles — the paper's Table V columns) are collected on every run
 and consumed by the performance models in :mod:`repro.hw`.
+
+:class:`WholeGenomeAligner` is the one aligner: it owns the engine
+lifecycle, index build, strand production and extension scheduling,
+and takes the only part the paper varies — the seed+filter stage — as
+a :class:`SeedFilterStage`.  :class:`DarwinWGA` binds Darwin's stage;
+the LASTZ baseline (:class:`repro.lastz.pipeline.LastzAligner`) binds
+the ungapped one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Union
 
 
 from ..align.alignment import Alignment
@@ -33,14 +40,15 @@ from ..seed.dsoft import dsoft_seed
 from ..seed.index import SeedIndex
 from .anchors import CoverageGrid
 from .config import DarwinWGAConfig
-from .extension import extend_anchors
+from .executor import INLINE
 from .gact_x import TileTrace
 from .gapped_filter import gapped_filter
 from .stream import (
     BoundedQueue,
+    StrandStream,
     StreamParams,
     _stall_if_planned,
-    streamed_strand_align,
+    stream_extension,
 )
 from .worker import align_unit_task
 
@@ -132,29 +140,74 @@ class WGAResult:
         return sum(a.matches for a in self.alignments)
 
 
-class DarwinWGA:
-    """Whole genome aligner with gapped filtering and GACT-X extension.
+#: Workload fields counted on every ``align`` span.
+_SPAN_COUNTERS = (
+    "seed_hits",
+    "filter_tiles",
+    "filter_cells",
+    "extension_tiles",
+    "extension_cells",
+    "anchors",
+    "absorbed_anchors",
+)
 
-    >>> from repro.genome import make_species_pair
-    >>> import numpy as np
-    >>> pair = make_species_pair(3000, 0.2, np.random.default_rng(0))
-    >>> aligner = DarwinWGA()
-    >>> result = aligner.align(pair.target.genome, pair.query.genome)
+
+@dataclass(frozen=True)
+class SeedFilterStage:
+    """The seed+filter producer an aligner runs on each strand.
+
+    ``run(config, target, query, index, strand, tracer)`` returns
+    ``(anchors, workload)``: the filter's anchors and a
+    :class:`Workload` holding the seed and filter counts.  ``name``
+    labels the ``align`` span; ``keep_tile_traces`` keeps the extension
+    tile traces the hardware model replays.
+    """
+
+    name: str
+    run: Callable
+    keep_tile_traces: bool
+
+
+def darwin_seed_filter(config, target, query, index, strand, tracer):
+    """Darwin-WGA's stage: D-SOFT seeding, then the gapped (BSW) filter."""
+    seeding = dsoft_seed(index, query, config.dsoft, tracer=tracer)
+    filter_result = gapped_filter(
+        target,
+        query,
+        seeding.target_positions,
+        seeding.query_positions,
+        config.scoring,
+        config.filtering,
+        strand=strand,
+        tracer=tracer,
+    )
+    workload = Workload(
+        seed_hits=seeding.raw_hit_count,
+        filter_tiles=filter_result.tiles,
+        filter_cells=filter_result.cells,
+        anchors=len(filter_result.anchors),
+    )
+    return filter_result.anchors, workload
+
+
+class WholeGenomeAligner:
+    """Seed, filter and GACT-X-extend a query against a target.
+
+    Subclasses bind ``config_class`` and ``stage`` and nothing else.
 
     Pass a :class:`repro.obs.Tracer` to record per-stage spans (seed /
     filter / per-anchor extension); the default :data:`NULL_TRACER` makes
     instrumentation free.
 
-    ``workers > 1`` fans the extension stage out over a process pool
-    (deterministically — output is byte-identical to ``workers=1``);
-    an externally owned :class:`~repro.parallel.engine.ExecutionEngine`
-    may be passed instead to share one pool across aligners.  Parallel
-    runs use the streamed dataflow (:mod:`repro.core.stream`) by
-    default: seeding/filtering of later strands overlaps in-flight
-    extensions under a bounded in-flight watermark.  ``streaming=False``
-    keeps the legacy barrier schedule (all seed+filter, then all
-    extension, per strand) — the output is byte-identical either way;
-    only the schedule (and the idle tail) differs.
+    Extension always runs through the streamed dataflow
+    (:func:`repro.core.stream.stream_extension`).  With ``workers > 1``
+    it fans out over a process pool — deterministically, so output is
+    byte-identical to ``workers=1`` — and seeding/filtering of later
+    strands overlaps in-flight extensions under a bounded in-flight
+    watermark (``stream_params``).  An externally owned
+    :class:`~repro.parallel.engine.ExecutionEngine` may be passed
+    instead to share one pool across aligners.  A serial run is the same
+    dataflow over :data:`~repro.core.executor.INLINE`.
     ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
@@ -164,24 +217,24 @@ class DarwinWGA:
     be closed (:meth:`close` or a ``with`` block) when ``workers > 1``.
     """
 
+    config_class: type
+    stage: SeedFilterStage
+
     def __init__(
         self,
-        config: Optional[DarwinWGAConfig] = None,
+        config=None,
         tracer=None,
         workers: int = 1,
         engine: Optional[ExecutionEngine] = None,
         index_cache: Union[SeedIndexCache, str, Path, None] = None,
         resilience: Optional[ResilienceOptions] = None,
         telemetry: Optional[TelemetryOptions] = None,
-        streaming: Optional[bool] = None,
         stream_params: Optional[StreamParams] = None,
     ) -> None:
-        self.config = config or DarwinWGAConfig()
-        self.streaming = streaming
+        self.config = config or self.config_class()
         self.stream_params = stream_params
-        #: Occupancy/backpressure summary of the last parallel align()
-        #: (a :meth:`repro.obs.occupancy.StreamStats.summary` dict), or
-        #: None for serial runs.
+        #: Occupancy/backpressure summary of the last align() (a
+        #: :meth:`repro.obs.occupancy.StreamStats.summary` dict).
         self.last_stream = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.workers = engine.workers if engine is not None else workers
@@ -213,7 +266,7 @@ class DarwinWGA:
             self._engine = None
             self._owns_engine = False
 
-    def __enter__(self) -> "DarwinWGA":
+    def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -244,9 +297,10 @@ class DarwinWGA:
         """
         config = self.config
         tracer = self.tracer
+        stage = self.stage
         with tracer.span(
             "align",
-            aligner="darwin",
+            aligner=stage.name,
             target=target.name or "target",
             query=query.name or "query",
             target_bp=len(target),
@@ -255,116 +309,83 @@ class DarwinWGA:
             if index is None:
                 index = self._build_index(target)
             strands = (1, -1) if config.both_strands else (1,)
-            engine = self.engine
-            parallel = engine is not None and engine.active
-            if parallel and self.streaming is not False:
-                alignments, workload, stats = streamed_strand_align(
-                    self, target, query, index, strands,
-                    keep_tile_traces=True,
+
+            def produce(i: int) -> StrandStream:
+                strand = strands[i]
+                oriented = (
+                    query if strand == 1 else query.reverse_complement()
                 )
-                self.last_stream = stats.summary()
-            else:
-                observer = (
-                    StreamStats(slots=engine.workers) if parallel else None
-                )
-                alignments = []
-                workload = Workload()
-                for strand in strands:
-                    oriented = (
-                        query if strand == 1 else query.reverse_complement()
+                with tracer.span(
+                    "strand", strand="+" if strand == 1 else "-"
+                ):
+                    anchors, workload = stage.run(
+                        config, target, oriented, index, strand, tracer
                     )
-                    with tracer.span(
-                        "strand", strand="+" if strand == 1 else "-"
-                    ):
-                        strand_result = self._align_strand(
-                            target, oriented, index, strand,
-                            observer=observer,
-                        )
-                    alignments.extend(strand_result.alignments)
-                    workload.merge(strand_result.workload)
-                if observer is not None:
-                    observer.close()
-                self.last_stream = (
-                    observer.summary() if observer is not None else None
+                # Extend best-filter-score first so absorption keeps the
+                # anchors most likely to seed the strongest alignments.
+                # This per-strand order decides absorption, so it is part
+                # of the byte-identical-output contract.
+                ordered = sorted(anchors, key=lambda a: -a.filter_score)
+                grid = CoverageGrid(config.absorb_granularity)
+                return StrandStream(oriented, ordered, grid, workload)
+
+            executor = self.engine
+            if executor is None or not executor.active:
+                executor = INLINE
+            # Later strands' producer spans nest under this one: the
+            # overlap is real, so the trace reflects it.
+            with tracer.span("extend") as extend_span:
+                states, stats = stream_extension(
+                    target,
+                    len(strands),
+                    produce,
+                    config.scoring,
+                    config.extension,
+                    executor,
+                    tracer=tracer,
+                    stream=self.stream_params,
+                    keep_tile_traces=stage.keep_tile_traces,
                 )
+                alignments: List[Alignment] = []
+                workload = Workload()
+                for state in states:
+                    alignments.extend(state.alignments)
+                    workload.merge(state.workload)
+                extend_span.inc("extension_tiles", workload.extension_tiles)
+                extend_span.inc("extension_cells", workload.extension_cells)
+                extend_span.inc("absorbed_anchors", workload.absorbed_anchors)
+                extend_span.inc("alignments", len(alignments))
+                extend_span.set(
+                    occupancy=round(stats.occupancy(), 6),
+                    idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
+                    backpressure_stalls=stats.backpressure_stalls,
+                    peak_in_flight=stats.peak_in_flight,
+                )
+            self.last_stream = stats.summary()
             alignments.sort(key=lambda a: -a.score)
-            span.inc("seed_hits", workload.seed_hits)
-            span.inc("filter_tiles", workload.filter_tiles)
-            span.inc("filter_cells", workload.filter_cells)
-            span.inc("extension_tiles", workload.extension_tiles)
-            span.inc("extension_cells", workload.extension_cells)
-            span.inc("anchors", workload.anchors)
-            span.inc("absorbed_anchors", workload.absorbed_anchors)
+            for name in _SPAN_COUNTERS:
+                span.inc(name, getattr(workload, name))
             span.inc("alignments", len(alignments))
             return WGAResult(alignments=alignments, workload=workload)
 
-    def _seed_filter_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-    ):
-        """One strand's producer stage: seed, filter, order anchors.
 
-        Returns ``(ordered_anchors, workload, grid)`` — everything the
-        extension stage (serial, barrier-parallel or streamed) needs.
-        The sort by filter score is a deliberate per-strand ordering
-        barrier: extension priority determines absorption, so it is
-        part of the byte-identical-output contract.
-        """
-        config = self.config
-        tracer = self.tracer
-        seeding = dsoft_seed(index, query, config.dsoft, tracer=tracer)
-        filter_result = gapped_filter(
-            target,
-            query,
-            seeding.target_positions,
-            seeding.query_positions,
-            config.scoring,
-            config.filtering,
-            strand=strand,
-            tracer=tracer,
-        )
-        workload = Workload(
-            seed_hits=seeding.raw_hit_count,
-            filter_tiles=filter_result.tiles,
-            filter_cells=filter_result.cells,
-            anchors=len(filter_result.anchors),
-        )
-        grid = CoverageGrid(config.absorb_granularity)
-        # Extend best-filter-score first so absorption keeps the anchors
-        # most likely to seed the strongest alignments.
-        ordered = sorted(
-            filter_result.anchors, key=lambda a: -a.filter_score
-        )
-        return ordered, workload, grid
+class DarwinWGA(WholeGenomeAligner):
+    """Whole genome aligner with gapped filtering and GACT-X extension.
 
-    def _align_strand(
-        self,
-        target: Sequence,
-        query: Sequence,
-        index: SeedIndex,
-        strand: int,
-        observer: Optional[StreamStats] = None,
-    ) -> WGAResult:
-        ordered, workload, grid = self._seed_filter_strand(
-            target, query, index, strand
-        )
-        alignments = extend_anchors(
-            target,
-            query,
-            ordered,
-            self.config.scoring,
-            self.config.extension,
-            grid,
-            workload,
-            tracer=self.tracer,
-            engine=self.engine,
-            keep_tile_traces=True,
-            observer=observer,
-        )
-        return WGAResult(alignments=alignments, workload=workload)
+    >>> from repro.genome import make_species_pair
+    >>> import numpy as np
+    >>> pair = make_species_pair(3000, 0.2, np.random.default_rng(0))
+    >>> aligner = DarwinWGA()
+    >>> result = aligner.align(pair.target.genome, pair.query.genome)
+
+    Everything but the seed+filter stage (D-SOFT + BSW, tile traces
+    kept for the hardware model) is :class:`WholeGenomeAligner`.
+    """
+
+    config_class = DarwinWGAConfig
+    stage = SeedFilterStage(
+        "darwin", darwin_seed_filter, keep_tile_traces=True
+    )
 
 
 def align_pair(

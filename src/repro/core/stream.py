@@ -1,27 +1,32 @@
-"""Streaming seed->filter->extend dataflow with bounded queues.
+"""The extension scheduler: a streamed seed->filter->extend dataflow.
 
-The pipelines historically ran as barrier phases: all seeding, then all
-filtering, then all extension — per strand, with a full worker drain
-between phases.  This module restructures that into a cooperative
-single-threaded stage graph:
+Every aligner run, serial or parallel, goes through
+:func:`stream_extension`, a cooperative single-threaded stage graph
+over an :class:`~repro.core.executor.Executor`:
 
-* the **producer** stage runs one strand's seeding + gapped filtering
-  and emits its priority-ordered anchors into a bounded strand queue
-  (:class:`BoundedQueue`) — at most ``strand_queue_capacity`` strands'
-  anchors are ever materialized, so memory stays flat;
-* the **extension frontier** forms small anchor batches in strict
-  serial order and dispatches them to the
-  :class:`~repro.parallel.engine.ExecutionEngine` as soon as the
-  in-flight watermark (``max_in_flight_anchors``) has room — no
-  end-of-strand barrier: the next strand's producer step runs while the
-  previous strand's last batches are still in flight, which is exactly
-  the idle tail the barrier schedule paid;
+* the **producer** stage runs one strand's seeding + filtering and
+  emits its priority-ordered anchors into a bounded strand queue
+  (:class:`BoundedQueue`) — at most :data:`STRAND_QUEUE_CAPACITY`
+  strands' anchors are ever materialized, so memory stays flat;
+* the **extension frontier** forms anchor batches in strict serial
+  order and dispatches them to the executor as soon as the in-flight
+  watermark (``max_in_flight_anchors``) has room — no end-of-strand
+  barrier: the next strand's producer step runs while the previous
+  strand's last batches are still in flight;
 * the **sink** collects results strictly in dispatch order and replays
   the serial commit loop (`grid.absorbs` re-check, dedup, coverage
-  update), so the output is byte-identical to serial at any worker
-  count — the same speculative-dispatch/in-order-replay argument as
-  :mod:`repro.core.extension`, with the speculation window now bounded
-  by the watermark instead of ``batches x batch_size`` anchors.
+  update), so the output is byte-identical at any worker count.
+
+Correctness rests on **speculative dispatch and in-order replay**.
+Anchors consult a :class:`~repro.core.anchors.CoverageGrid` so those
+already covered by an earlier (higher filter score) alignment are
+absorbed without being extended — a serial dependency.  The grid only
+ever grows, so an anchor absorbed at batch-formation time would also
+be absorbed at its serial turn; an anchor dispatched against a stale
+grid is re-checked at replay and, if absorbed meanwhile, dropped with
+its spans and counters.  Speculation is bounded by the watermark.  On
+the :class:`~repro.core.executor.InlineExecutor` (one slot) the
+watermark is one anchor, so a serial run never speculates at all.
 
 Backpressure is explicit and observable: the producer only runs when
 the frontier is starved and the strand queue has room; every refusal is
@@ -30,10 +35,11 @@ by :class:`repro.obs.occupancy.StreamStats` into per-stage occupancy
 and ``idle_tail_seconds``.
 
 Fault injection understands streams: a ``stall`` fault
-(:data:`repro.resilience.faults.FAULT_KINDS`) sleeps before a
-collection, modelling a slow consumer; crashes/timeouts ride the
-normal :class:`~repro.parallel.supervise.ResilientDispatcher` ladder,
-and checkpoint/resume journals whole units exactly as before.
+(:data:`repro.resilience.faults.FAULT_KINDS`) from the executor's
+fault plan sleeps before a collection, modelling a slow consumer;
+crashes/timeouts ride the normal
+:class:`~repro.parallel.supervise.ResilientDispatcher` ladder, and
+checkpoint/resume journals whole units exactly as before.
 """
 
 from __future__ import annotations
@@ -41,28 +47,32 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..align.alignment import Alignment
 from ..obs.export import graft_span_dicts
 from ..obs.occupancy import StreamStats
 from ..obs.tracer import NULL_TRACER
-from .extension import _commit
+from .executor import Executor
 from .worker import extend_batch_task
-
-if TYPE_CHECKING:  # repro.parallel sits above core in the layer DAG
-    from ..parallel.engine import ExecutionEngine
 
 __all__ = [
     "BoundedQueue",
     "StrandStream",
     "StreamParams",
     "stream_extension",
-    "streamed_strand_align",
 ]
 
 #: Injectable sleep used by the ``stall`` fault kind (tests patch it).
 _sleep = time.sleep
+
+#: Anchors per dispatched task: one, so eager replay can refill a slot
+#: the moment its result settles.
+ANCHOR_BATCH = 1
+#: Strands whose anchors may be materialized at once.
+STRAND_QUEUE_CAPACITY = 2
+#: Sleep injected before a collection by a planned ``stall`` fault.
+STALL_SECONDS = 0.02
 
 
 class BoundedQueue:
@@ -125,8 +135,10 @@ class StreamParams:
     work discarded); larger windows keep more workers fed.  The default
     is one anchor per worker: eager replay refills a freed slot as soon
     as its result settles, so extra slack mostly buys wasted
-    speculation — far tighter than the barrier path's
-    ``(workers + 1) x batch_size`` anchors.
+    speculation.
+
+    ``unit_window`` bounds the (target, query) units in flight in a
+    parallel :func:`~repro.core.pipeline.align_assemblies` run.
 
     ``defer_diagonal_bp`` is a dependence heuristic, not a correctness
     knob: an in-flight anchor's alignment runs along its diagonal
@@ -139,19 +151,13 @@ class StreamParams:
     """
 
     max_in_flight_anchors: int = 0  # 0 -> one per worker
-    anchor_batch: int = 0  # 0 -> 1 anchor per dispatch
-    strand_queue_capacity: int = 2
     unit_window: int = 0  # 0 -> max(2 * workers, workers + 2)
-    stall_seconds: float = 0.02
     defer_diagonal_bp: int = 256
 
     def in_flight_limit(self, workers: int) -> int:
         if self.max_in_flight_anchors > 0:
             return self.max_in_flight_anchors
         return max(1, workers)
-
-    def batch_limit(self) -> int:
-        return self.anchor_batch if self.anchor_batch > 0 else 1
 
     def unit_window_for(self, workers: int) -> int:
         if self.unit_window > 0:
@@ -203,7 +209,29 @@ def _stall_if_planned(resilience, key: str) -> None:
     plan = resilience.fault_plan
     if plan.decide("stall", key):
         resilience.stats.inject("stall")
-        _sleep(DEFAULT_STREAM.stall_seconds)
+        _sleep(STALL_SECONDS)
+
+
+def _commit(
+    extension, grid, workload, alignments, seen_spans, keep_tile_traces
+) -> None:
+    """The serial loop body for one surviving extension result."""
+    workload.extension_tiles += extension.tile_count
+    workload.extension_cells += extension.cells
+    if keep_tile_traces:
+        workload.extension_tile_traces.extend(extension.tiles)
+    alignment = extension.alignment
+    if alignment is not None:
+        span = (
+            alignment.target_start,
+            alignment.target_end,
+            alignment.query_start,
+            alignment.query_end,
+        )
+        grid.add_alignment(alignment)
+        if span not in seen_spans:
+            seen_spans.add(span)
+            alignments.append(alignment)
 
 
 def stream_extension(
@@ -212,11 +240,10 @@ def stream_extension(
     produce: Callable[[int], StrandStream],
     scoring,
     params,
-    engine: "ExecutionEngine",
+    engine: Executor,
     tracer=NULL_TRACER,
     stream: Optional[StreamParams] = None,
     keep_tile_traces: bool = True,
-    resilience=None,
 ) -> Tuple[List[StrandStream], StreamStats]:
     """Drive ``strand_count`` strands through the streamed frontier.
 
@@ -228,12 +255,13 @@ def stream_extension(
 
     Returns the per-strand streams (in serial strand order, each with
     its committed alignments and workload) plus the schedule's
-    :class:`StreamStats`.  Byte-identical to running
-    :func:`repro.core.extension.extend_anchors` per strand serially.
+    :class:`StreamStats`.  Byte-identical for every executor and
+    worker count: each strand's alignments, workload and coverage grid
+    evolve exactly as in a plain serial loop over its anchors.
     """
     stream = stream or DEFAULT_STREAM
     limit = stream.in_flight_limit(engine.workers)
-    batch_cap = stream.batch_limit()
+    resilience = engine.resilience
     traced = tracer.enabled
     telemetry = engine.telemetry
     registry = telemetry.registry if telemetry is not None else None
@@ -242,9 +270,7 @@ def stream_extension(
     stats = StreamStats(slots=engine.workers)
 
     target_handle = engine.share(target)
-    strand_queue = BoundedQueue(
-        "strand_anchors", stream.strand_queue_capacity
-    )
+    strand_queue = BoundedQueue("strand_anchors", STRAND_QUEUE_CAPACITY)
     states: List[StrandStream] = []
     # Oldest-first dispatch ledger; bounded by `limit` anchors via the
     # watermark checks in _try_dispatch.
@@ -305,7 +331,7 @@ def stream_extension(
             batch = []
             while (
                 not state.exhausted
-                and len(batch) < batch_cap
+                and len(batch) < ANCHOR_BATCH
                 and in_flight_anchors + len(batch) < limit
             ):
                 anchor = state.anchors[state.position]
@@ -438,64 +464,3 @@ def stream_extension(
         registry.gauge("stream_peak_in_flight").set(stats.peak_in_flight)
     return states, stats
 
-
-def streamed_strand_align(
-    aligner,
-    target,
-    query,
-    index,
-    strands,
-    keep_tile_traces: bool = True,
-):
-    """Shared streamed ``align`` body for DarwinWGA and LastzAligner.
-
-    Runs every strand's seed+filter as a producer stage and the shared
-    extension frontier as the consumer, inside one ``extend`` span (the
-    later strands' producer spans nest under it — the overlap is real,
-    so the trace reflects it).  Returns ``(alignments, workload,
-    stats)`` with alignments in serial order (per-strand, pre-sort).
-    """
-    tracer = aligner.tracer
-    config = aligner.config
-
-    def produce(i: int) -> StrandStream:
-        strand = strands[i]
-        oriented = query if strand == 1 else query.reverse_complement()
-        with tracer.span("strand", strand="+" if strand == 1 else "-"):
-            ordered, workload, grid = aligner._seed_filter_strand(
-                target, oriented, index, strand
-            )
-        return StrandStream(oriented, ordered, grid, workload)
-
-    with tracer.span("extend") as extend_span:
-        states, stats = stream_extension(
-            target,
-            len(strands),
-            produce,
-            config.scoring,
-            config.extension,
-            aligner.engine,
-            tracer=tracer,
-            stream=getattr(aligner, "stream_params", None),
-            keep_tile_traces=keep_tile_traces,
-            resilience=aligner.resilience,
-        )
-        alignments: List[Alignment] = []
-        workload = None
-        for state in states:
-            alignments.extend(state.alignments)
-            if workload is None:
-                workload = state.workload
-            else:
-                workload.merge(state.workload)
-        extend_span.inc("extension_tiles", workload.extension_tiles)
-        extend_span.inc("extension_cells", workload.extension_cells)
-        extend_span.inc("absorbed_anchors", workload.absorbed_anchors)
-        extend_span.inc("alignments", len(alignments))
-        extend_span.set(
-            occupancy=round(stats.occupancy(), 6),
-            idle_tail_seconds=round(stats.idle_tail_seconds(), 6),
-            backpressure_stalls=stats.backpressure_stalls,
-            peak_in_flight=stats.peak_in_flight,
-        )
-    return alignments, workload, stats

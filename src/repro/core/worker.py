@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import atexit
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +69,14 @@ def _detach_attached() -> None:
             pass
 
 
-def resolve_sequence(handle: SequenceHandle) -> Sequence:
-    """Materialise a :class:`Sequence` from its transport handle."""
+def resolve_sequence(handle: Union[SequenceHandle, Sequence]) -> Sequence:
+    """Materialise a :class:`Sequence` from its transport handle.
+
+    A :class:`Sequence` passes through unchanged: that is what
+    :class:`~repro.core.executor.InlineExecutor` shares.
+    """
+    if isinstance(handle, Sequence):
+        return handle
     if handle.kind == "bytes":
         codes = np.frombuffer(handle.payload, dtype=np.uint8)
         return Sequence(codes[: handle.length], name=handle.name)
@@ -138,6 +144,11 @@ def extend_batch_task(
     Span dicts always travel in the return value here — never over the
     bus — because the parent must drop the spans of absorbed anchors;
     the bus carries only the resource sample and the ack.
+
+    Handed the sequences themselves, the batch ran inline
+    (:class:`~repro.core.executor.InlineExecutor`) as part of its
+    caller's work — possibly a pool task such as :func:`align_unit_task`
+    — so the caller's epilogue reports it and this one is skipped.
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
@@ -146,9 +157,11 @@ def extend_batch_task(
         gact_x_extend(target, query, anchor, scoring, params, tracer=tracer)
         for anchor in anchors
     ]
+    span_dicts = serialize_spans(tracer) if traced else None
+    if isinstance(target_handle, Sequence):
+        return results, span_dicts, None
     if worker_profile_active():
         flush_worker_profile()
-    span_dicts = serialize_spans(tracer) if traced else None
     publisher = current_publisher()
     ack = None
     if publisher is not None:

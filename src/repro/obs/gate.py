@@ -216,6 +216,63 @@ def _check_overheads(
             result.add(check_id, "pass", current=value, limit=target)
 
 
+def _streamed_at(scaling, at: str) -> Dict:
+    if not isinstance(scaling, dict):
+        return {}
+    return scaling.get("modes", {}).get("streamed", {}).get(at) or {}
+
+
+def _check_streamed(
+    result: GateResult,
+    scaling: Dict,
+    base_scaling: Optional[Dict],
+    rate_tolerance: float,
+) -> None:
+    """Ceilings on the streamed schedule at the gated worker count.
+
+    The artifact's ``targets`` carry absolute ceilings on the streamed
+    wall time and idle tail; the baseline's streamed wall time adds a
+    relative ceiling ``+rate_tolerance`` above it.  Other worker counts
+    are informational.
+    """
+    targets = scaling.get("targets", {})
+    at = str(targets.get("at_workers", "2"))
+    streamed = _streamed_at(scaling, at)
+    prefix = f"parallel_scaling.streamed.{at}"
+    for metric, what in (
+        ("wall_seconds", "wall time"),
+        ("idle_tail_seconds", "idle tail"),
+    ):
+        ceiling = targets.get(f"streamed_{metric}")
+        value = streamed.get(metric)
+        if ceiling is None or value is None:
+            continue
+        result.add(
+            f"{prefix}.{metric}",
+            "fail" if value > ceiling else "pass",
+            current=value, limit=ceiling,
+            detail=(
+                f"streamed {what} above the {ceiling}s ceiling"
+                if value > ceiling
+                else ""
+            ),
+        )
+    base_wall = _streamed_at(base_scaling, at).get("wall_seconds")
+    wall = streamed.get("wall_seconds")
+    if base_wall and wall is not None:
+        ceiling = base_wall * (1.0 + rate_tolerance)
+        result.add(
+            f"{prefix}.wall_seconds.regression",
+            "fail" if wall > ceiling else "pass",
+            current=wall, baseline=base_wall, limit=ceiling,
+            detail=(
+                f"streamed wall time regressed beyond +{rate_tolerance:.0%}"
+                if wall > ceiling
+                else ""
+            ),
+        )
+
+
 def compare_artifacts(
     current: Dict,
     baseline: Dict,
@@ -339,65 +396,18 @@ def compare_artifacts(
                 ),
             )
     scaling = current.get("parallel_scaling")
-    base_scaling = baseline.get("parallel_scaling")
     if isinstance(scaling, dict):
         if scaling.get("identical_output") is False:
             result.add(
                 "parallel_scaling.identical_output", "fail",
                 current=False,
-                detail="streamed/barrier output diverged from serial",
+                detail="streamed output diverged from serial",
             )
-        targets = scaling.get("targets", {})
-        at = str(targets.get("at_workers", "2"))
-        improvement = scaling.get("streaming_improvement", {}).get(at)
-        reduction = scaling.get("idle_tail_reduction", {}).get(at)
-        if comparable_timings and improvement is not None:
-            target = targets.get("streaming_improvement")
-            if target is not None:
-                result.add(
-                    f"parallel_scaling.streaming_improvement.{at}",
-                    "fail" if improvement < target else "pass",
-                    current=improvement, limit=target,
-                    detail=(
-                        "streamed schedule no longer beats the barrier "
-                        f"schedule by the {target}x target"
-                        if improvement < target
-                        else ""
-                    ),
-                )
-            if isinstance(base_scaling, dict):
-                base_improvement = base_scaling.get(
-                    "streaming_improvement", {}
-                ).get(at)
-                if base_improvement:
-                    floor = base_improvement * (1.0 - rate_tolerance)
-                    result.add(
-                        f"parallel_scaling.streaming_improvement.{at}"
-                        ".regression",
-                        "fail" if improvement < floor else "pass",
-                        current=improvement, baseline=base_improvement,
-                        limit=floor,
-                        detail=(
-                            "streaming improvement regressed beyond "
-                            f"-{rate_tolerance:.0%}"
-                            if improvement < floor
-                            else ""
-                        ),
-                    )
-        if comparable_timings and reduction is not None:
-            target = targets.get("idle_tail_reduction")
-            if target is not None:
-                result.add(
-                    f"parallel_scaling.idle_tail_reduction.{at}",
-                    "fail" if reduction < target else "pass",
-                    current=reduction, limit=target,
-                    detail=(
-                        "streamed schedule no longer removes "
-                        f"{target:.0%} of the barrier idle tail"
-                        if reduction < target
-                        else ""
-                    ),
-                )
+        if comparable_timings:
+            _check_streamed(
+                result, scaling, baseline.get("parallel_scaling"),
+                rate_tolerance,
+            )
     return result
 
 

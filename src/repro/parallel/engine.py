@@ -10,19 +10,18 @@ pipelines need on top of it:
   into :mod:`multiprocessing.shared_memory` and referenced by a small
   picklable :class:`SequenceHandle`, so dispatching a batch of anchors
   never re-pickles megabase arrays;
-* **batch sizing** — anchors are dispatched in chunks large enough to
-  amortise the per-task round trip but small enough to keep every
-  worker busy;
 * **supervised dispatch** — :meth:`dispatch`/:meth:`result` route work
   through a :class:`~repro.parallel.supervise.ResilientDispatcher`
   (retry/timeout/pool-rebuild/serial-fallback per the engine's
   :class:`~repro.resilience.policy.ResilienceOptions`), while
   :meth:`submit` stays the raw, unsupervised path.
 
-Determinism is the callers' contract, not the engine's: result futures
-are always consumed in submission order (see
-:mod:`repro.core.extension`), so the engine itself only needs to be
-an ordinary pool.
+The engine implements the executor protocol
+(:class:`repro.core.executor.Executor`) that the extension scheduler
+runs on.  Determinism is the callers' contract, not the engine's: result
+futures are always consumed in submission order (see
+:mod:`repro.core.stream`), so the engine itself only needs to be an
+ordinary pool.
 
 Crash hygiene: shared-memory blocks are OS-level files (``/dev/shm``)
 that outlive a crashed process.  Every live engine registers with an
@@ -134,8 +133,9 @@ class ExecutionEngine:
     """A process pool plus shared-memory sequence registry.
 
     ``workers=1`` is a valid configuration: the engine reports itself
-    inactive (:attr:`active` is False) and callers fall back to their
-    serial code path, so one code path covers ``--workers N`` for all N.
+    inactive (:attr:`active` is False) and callers run on the in-process
+    :class:`~repro.core.executor.InlineExecutor` instead, through the
+    same scheduler, so one code path covers ``--workers N`` for all N.
 
     The engine owns every shared-memory block it publishes; call
     :meth:`close` (or use the engine as a context manager) to release
@@ -401,21 +401,3 @@ class ExecutionEngine:
             )
         return self._dispatcher_obj
 
-    def batch_size_for(self, items: int, chunk_size: int = 0) -> int:
-        """Anchors per dispatched batch.
-
-        An explicit ``chunk_size`` wins; otherwise aim for ~8 batches
-        per worker (so stragglers rebalance) capped at 32 anchors per
-        round trip.  Small inputs are floored to one balanced batch per
-        worker: ``min(items, workers)`` batches instead of ``items``
-        single-anchor round trips.
-        """
-        if chunk_size > 0:
-            return chunk_size
-        if items <= 0:
-            return 1
-        size = items // (self.workers * 8)
-        if size < 1:
-            # Ceiling division: every available worker gets one batch.
-            size = -(-items // min(items, self.workers))
-        return max(1, min(32, size))

@@ -26,6 +26,7 @@ from repro.lastz import LastzAligner
 from repro.obs import TelemetryOptions, Tracer
 from repro.resilience import (
     FaultPlan,
+    RecoveryStats,
     ResilienceOptions,
     RetryPolicy,
     RunManifest,
@@ -115,16 +116,10 @@ class TestStreamedIdentity:
         )
 
     def test_lastz_streamed_matches_serial(self, pair, serial_lastz):
-        with LastzAligner(workers=2) as aligner:
-            result = aligner.align(*pair)
-        assert_same_result(serial_lastz, result)
-
-    def test_barrier_opt_out_matches_serial(self, pair, serial_darwin):
-        with DarwinWGA(workers=2, streaming=False) as aligner:
-            result = aligner.align(*pair)
-        assert_same_result(serial_darwin, result)
-        # The barrier path still reports occupancy via the observer.
-        assert aligner.last_stream["collected_tasks"] > 0
+        for workers in (2, 4):
+            with LastzAligner(workers=workers) as aligner:
+                result = aligner.align(*pair)
+            assert_same_result(serial_lastz, result)
 
     def test_tight_watermark_matches_serial(self, pair, serial_darwin):
         params = StreamParams(max_in_flight_anchors=1)
@@ -132,6 +127,26 @@ class TestStreamedIdentity:
             result = aligner.align(*pair)
         assert_same_result(serial_darwin, result)
         assert aligner.last_stream["peak_in_flight"] == 1
+
+
+class TestSerialIsTheStream:
+    @pytest.mark.parametrize("aligner_class", [DarwinWGA, LastzAligner])
+    def test_serial_run_neither_speculates_nor_injects(
+        self, pair, aligner_class
+    ):
+        """A serial run is the streamed dataflow over the inline
+        executor: one anchor in flight, every dispatched anchor
+        committed, and no fault from the plan reaches it."""
+        options = ResilienceOptions(fault_plan=FaultPlan(5, {"stall": 1.0}))
+        aligner = aligner_class(resilience=options)
+        result = aligner.align(*pair)
+        stream = aligner.last_stream
+        workload = result.workload
+        assert stream["dispatched_tasks"] == (
+            workload.anchors - workload.absorbed_anchors
+        )
+        assert stream["peak_in_flight"] == 1
+        assert options.stats == RecoveryStats()
 
 
 class TestBackpressure:

@@ -42,11 +42,15 @@ def baseline_artifact():
         },
         "parallel_scaling": {
             "identical_output": True,
-            "streaming_improvement": {"2": 1.6, "4": 1.5},
-            "idle_tail_reduction": {"2": 0.8, "4": 0.7},
+            "modes": {
+                "streamed": {
+                    "2": {"wall_seconds": 2.3, "idle_tail_seconds": 0.11},
+                    "4": {"wall_seconds": 2.3, "idle_tail_seconds": 0.31},
+                }
+            },
             "targets": {
-                "streaming_improvement": 1.3,
-                "idle_tail_reduction": 0.5,
+                "streamed_wall_seconds": 2.913,
+                "streamed_idle_tail_seconds": 0.374,
                 "at_workers": "2",
             },
         },
@@ -140,38 +144,39 @@ class TestCompareArtifacts:
             for f in result.failures()
         )
 
-    def test_streaming_improvement_below_target_fails(self):
+    def streamed(self, artifact, workers="2"):
+        return artifact["parallel_scaling"]["modes"]["streamed"][workers]
+
+    def test_streamed_wall_above_ceiling_fails(self):
         current = baseline_artifact()
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 1.1
+        self.streamed(current)["wall_seconds"] = 3.0
         result = compare_artifacts(current, baseline_artifact())
         assert result.verdict == "fail"
         assert any(
-            f["id"] == "parallel_scaling.streaming_improvement.2"
+            f["id"] == "parallel_scaling.streamed.2.wall_seconds"
             for f in result.failures()
         )
 
-    def test_streaming_improvement_regression_vs_baseline_fails(self):
-        # Above the absolute target but far below the baseline: the
-        # relative regression floor must still catch it.
+    def test_streamed_wall_regression_vs_baseline_fails(self):
+        # Under the absolute ceiling but far above the baseline: the
+        # relative regression ceiling must still catch it.
         current = baseline_artifact()
         base = baseline_artifact()
-        base["parallel_scaling"]["streaming_improvement"]["2"] = 3.0
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 1.4
+        self.streamed(base)["wall_seconds"] = 1.0
+        self.streamed(current)["wall_seconds"] = 2.0
         result = compare_artifacts(current, base)
         assert result.verdict == "fail"
-        assert any(
-            f["id"]
-            == "parallel_scaling.streaming_improvement.2.regression"
-            for f in result.failures()
-        )
+        assert [f["id"] for f in result.failures()] == [
+            "parallel_scaling.streamed.2.wall_seconds.regression"
+        ]
 
-    def test_idle_tail_reduction_below_target_fails(self):
+    def test_streamed_idle_tail_above_ceiling_fails(self):
         current = baseline_artifact()
-        current["parallel_scaling"]["idle_tail_reduction"]["2"] = 0.2
+        self.streamed(current)["idle_tail_seconds"] = 0.5
         result = compare_artifacts(current, baseline_artifact())
         assert result.verdict == "fail"
         assert any(
-            f["id"] == "parallel_scaling.idle_tail_reduction.2"
+            f["id"] == "parallel_scaling.streamed.2.idle_tail_seconds"
             for f in result.failures()
         )
 
@@ -179,8 +184,8 @@ class TestCompareArtifacts:
         # Only the at_workers column is gated; w=4 numbers are
         # informational.
         current = baseline_artifact()
-        current["parallel_scaling"]["streaming_improvement"]["4"] = 0.9
-        current["parallel_scaling"]["idle_tail_reduction"]["4"] = 0.0
+        self.streamed(current, "4")["wall_seconds"] = 9.0
+        self.streamed(current, "4")["idle_tail_seconds"] = 5.0
         assert compare_artifacts(current, baseline_artifact()).verdict == (
             "pass"
         )
@@ -188,7 +193,7 @@ class TestCompareArtifacts:
     def test_scale_mismatch_skips_streaming_timing_checks(self):
         current = baseline_artifact()
         current["scale"] = 4
-        current["parallel_scaling"]["streaming_improvement"]["2"] = 0.5
+        self.streamed(current)["wall_seconds"] = 9.0
         result = compare_artifacts(current, baseline_artifact())
         assert result.counts()["fail"] == 0
 
