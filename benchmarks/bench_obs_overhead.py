@@ -108,7 +108,7 @@ def _cpu_now():
 def _bookkeeping_cost_per_op():
     """Seconds per off-path bookkeeping sequence, measured directly.
 
-    This is the exact extra work ``_align_assemblies_parallel`` and
+    This is the exact extra work ``align_assemblies`` (``_stream_units``) and
     ``stream_extension`` do per gathered unit when a telemetry bundle
     is attached to an untraced run (no bus, no tracer): two histogram
     observations into the registry, the no-op progress calls, and the

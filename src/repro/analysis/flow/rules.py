@@ -16,8 +16,10 @@ FLOW002  an argument object is mutated *after* being submitted to the
          the worker depending on dispatch timing; under spawn it never
          is.  Either way the result depends on a race.
 FLOW003  an unpicklable value (lambda, generator expression, nested
-         function, open file handle) reaches a submit call through a
-         call chain — the interprocedural upgrade of PAR001/PAR002.
+         function, open file handle) reaches a submit call — as the
+         task callable or an argument, directly or through a call
+         chain.  It covers everything PAR001/PAR002 flag, which stay
+         for plain ``repro lint`` (no flow pass).
 KER006   dtype-lattice propagation through the DP kernels: a wide
          score value is stored into packed-DP storage whose capacity is
          below the ScoringScheme-derived value bound (see
@@ -361,6 +363,11 @@ def _unpicklable_reason(
     return None
 
 
+def _submitted_values(site: CallSite) -> List[ast.AST]:
+    """The task callable (``args[0]``), its arguments and keywords."""
+    return list(site.node.args) + [kw.value for kw in site.node.keywords]
+
+
 def _param_positions_reaching_submit(
     graph: CallGraph,
 ) -> Dict[str, Set[int]]:
@@ -371,9 +378,7 @@ def _param_positions_reaching_submit(
     for qualname, function in graph.functions.items():
         params = {name: i for i, name in enumerate(function.params)}
         for site in _dispatch_calls(function):
-            for arg in list(site.node.args[1:]) + [
-                kw.value for kw in site.node.keywords
-            ]:
+            for arg in _submitted_values(site):
                 if isinstance(arg, ast.Name) and arg.id in params:
                     reaching.setdefault(qualname, set()).add(
                         params[arg.id]
@@ -413,24 +418,28 @@ def check_flow003(graph: CallGraph) -> Iterator[Finding]:
     for qualname in sorted(graph.functions):
         function = graph.functions[qualname]
         for site in _dispatch_calls(function):
-            for arg in list(site.node.args[1:]) + [
-                kw.value for kw in site.node.keywords
-            ]:
+            for arg in _submitted_values(site):
                 reason = _unpicklable_reason(arg, function)
-                if reason is not None:
-                    yield Finding(
-                        rule="FLOW003",
-                        severity=Severity.ERROR,
-                        path=function.path,
-                        line=getattr(arg, "lineno", site.line),
-                        col=getattr(arg, "col_offset", 0),
-                        message=(
-                            f"{reason} is passed as a task argument — "
-                            "it cannot be pickled across the process "
-                            "boundary; pass plain data and rebuild the "
-                            "object inside the worker"
-                        ),
-                    )
+                if reason is None:
+                    continue
+                role = (
+                    "the task callable"
+                    if arg is site.node.args[0]
+                    else "a task argument"
+                )
+                yield Finding(
+                    rule="FLOW003",
+                    severity=Severity.ERROR,
+                    path=function.path,
+                    line=getattr(arg, "lineno", site.line),
+                    col=getattr(arg, "col_offset", 0),
+                    message=(
+                        f"{reason} is passed as {role} — it cannot be "
+                        "pickled across the process boundary; submit a "
+                        "module-level function, pass plain data and "
+                        "rebuild objects inside the worker"
+                    ),
+                )
     # Transitive: unpicklable values handed to a parameter that flows
     # into a submit argument somewhere down the call chain.
     for qualname in sorted(graph.functions):

@@ -29,7 +29,7 @@ from .pipeline import (
     align_assemblies,
     align_pair,
 )
-from .stream import BoundedQueue, StrandStream, StreamParams
+from .stream import BoundedQueue, StrandStream
 
 __all__ = [
     "CoverageGrid",
@@ -54,7 +54,6 @@ __all__ = [
     "align_assemblies",
     "BoundedQueue",
     "StrandStream",
-    "StreamParams",
     "alignment_detail",
     "chain_table",
     "dotplot",

@@ -1,12 +1,14 @@
-"""The executor protocol the extension scheduler runs on.
+"""The executor protocol the schedulers run on.
 
-:func:`repro.core.stream.stream_extension` is the only extension
-scheduler, at every worker count.  It needs nothing from an executor
-beyond the :class:`Executor` surface below.
+:func:`repro.core.stream.stream_extension` (anchors within a pair) and
+:func:`repro.core.pipeline.align_assemblies` (chromosome-pair units)
+are the only schedulers, at every worker count.  They need nothing from
+an executor beyond the :class:`Executor` surface below.
 :class:`repro.parallel.engine.ExecutionEngine` provides it over a
 process pool; :class:`InlineExecutor` runs every task in the calling
 process, which is what a serial run is: one slot, so the in-flight
-watermark admits one anchor and nothing is ever speculated.
+watermark admits one anchor (and one unit) and nothing is ever
+speculated.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = ["INLINE", "Executor", "InlineExecutor"]
 
 
 class Executor(Protocol):
-    """What :func:`~repro.core.stream.stream_extension` dispatches on.
+    """What the schedulers dispatch on.
 
     ``resilience`` is the fault-injection/recovery bundle (or None),
     ``telemetry``/``bus`` are None when telemetry is off, and

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Union
 from ..align.alignment import Alignment
 from ..genome.sequence import Sequence
 from ..obs.export import graft_span_dicts
-from ..obs.progress import NO_PROGRESS
 from ..obs.session import TelemetryOptions
 from ..obs.tracer import NULL_TRACER
 from ..resilience.checkpoint import (
@@ -40,15 +39,15 @@ from ..seed.dsoft import dsoft_seed
 from ..seed.index import SeedIndex
 from .anchors import CoverageGrid
 from .config import DarwinWGAConfig
-from .executor import INLINE
+from .executor import INLINE, Executor
 from .gact_x import TileTrace
 from .gapped_filter import gapped_filter
 from .stream import (
     BoundedQueue,
     StrandStream,
-    StreamParams,
     _stall_if_planned,
     stream_extension,
+    unit_window,
 )
 from .worker import align_unit_task
 
@@ -204,10 +203,10 @@ class WholeGenomeAligner:
     it fans out over a process pool — deterministically, so output is
     byte-identical to ``workers=1`` — and seeding/filtering of later
     strands overlaps in-flight extensions under a bounded in-flight
-    watermark (``stream_params``).  An externally owned
-    :class:`~repro.parallel.engine.ExecutionEngine` may be passed
-    instead to share one pool across aligners.  A serial run is the same
-    dataflow over :data:`~repro.core.executor.INLINE`.
+    watermark (:func:`~repro.core.stream.in_flight_limit`).  An
+    externally owned :class:`~repro.parallel.engine.ExecutionEngine` may
+    be passed instead to share one pool across aligners.  A serial run
+    is the same dataflow over :data:`~repro.core.executor.INLINE`.
     ``index_cache`` (a directory path or
     :class:`~repro.seed.cache.SeedIndexCache`) persists seed indexes
     across runs.  ``telemetry`` (a
@@ -229,10 +228,8 @@ class WholeGenomeAligner:
         index_cache: Union[SeedIndexCache, str, Path, None] = None,
         resilience: Optional[ResilienceOptions] = None,
         telemetry: Optional[TelemetryOptions] = None,
-        stream_params: Optional[StreamParams] = None,
     ) -> None:
         self.config = config or self.config_class()
-        self.stream_params = stream_params
         #: Occupancy/backpressure summary of the last align() (a
         #: :meth:`repro.obs.occupancy.StreamStats.summary` dict).
         self.last_stream = None
@@ -291,9 +288,9 @@ class WholeGenomeAligner:
         """Align ``query`` against ``target`` on both strands.
 
         ``index`` is an optional prebuilt :class:`SeedIndex` of
-        ``target`` (with this config's seed pattern); passing one lets
-        callers aligning many queries against the same target — e.g.
-        :func:`align_assemblies` — amortise index construction.
+        ``target`` (with this config's seed pattern), e.g. one loaded
+        from a seed-index cache; without it the index is built (or
+        loaded from this aligner's ``index_cache``) here.
         """
         config = self.config
         tracer = self.tracer
@@ -343,7 +340,6 @@ class WholeGenomeAligner:
                     config.extension,
                     executor,
                     tracer=tracer,
-                    stream=self.stream_params,
                     keep_tile_traces=stage.keep_tile_traces,
                 )
                 alignments: List[Alignment] = []
@@ -446,25 +442,21 @@ def align_assemblies(
     resume: bool = False,
     resilience: Optional[ResilienceOptions] = None,
     telemetry: Optional[TelemetryOptions] = None,
-    stream: Optional[StreamParams] = None,
 ) -> WGAResult:
     """Whole-assembly WGA: every target chromosome vs every query
     chromosome (the paper's actual task — its species have multiple
     nuclear chromosomes).
 
-    Each chromosome pair is aligned independently; alignments keep their
+    Each chromosome pair is an independent unit; alignments keep their
     chromosome names so chains partition correctly per
-    (target chromosome, query chromosome, strand).  The target seed
-    index is built once per target chromosome and shared across all
-    query chromosomes (and both strands), so index construction cost is
-    O(target) rather than O(target x queries).
-
-    ``workers > 1`` (or an external ``engine``) distributes whole
-    (target chromosome, query chromosome) units across worker processes
-    — units are gathered in submission order and the final sort is
-    stable, so the result is byte-identical to the serial run.  With an
-    ``index_cache`` the parent warms each target's seed index once and
-    workers load it from disk instead of rebuilding per unit.
+    (target chromosome, query chromosome, strand).  Units stream through
+    one bounded dataflow (:func:`_stream_units`) over an executor:
+    worker processes for ``workers > 1`` (or an external active
+    ``engine``), :data:`~repro.core.executor.INLINE` for a serial run;
+    the result is byte-identical either way.  With an ``index_cache``
+    the parent warms each target's seed index once and every unit loads
+    it from the cache; without one each unit builds its own index (well
+    under 1% of a unit's time).
 
     ``checkpoint`` journals every completed unit to a
     :class:`~repro.resilience.checkpoint.RunManifest`; ``resume=True``
@@ -494,8 +486,6 @@ def align_assemblies(
         target_assembly,
         query_assembly,
     )
-    stats = resilience.stats if resilience is not None else None
-    progress = telemetry.progress if telemetry is not None else NO_PROGRESS
     pool = engine
     owns_engine = False
     if pool is None and workers > 1:
@@ -508,113 +498,68 @@ def align_assemblies(
         # initializer); otherwise progress still works parent-side.
         if pool.adopt_telemetry(telemetry):
             _bind_telemetry(telemetry, tracer)
+    executor = pool if pool is not None and pool.active else INLINE
     try:
-        if pool is not None and pool.active:
-            return _align_assemblies_parallel(
-                target_assembly,
-                query_assembly,
-                resolved_config,
-                aligner_class,
-                tracer,
-                pool,
-                cache,
-                manifest,
-                stats,
-                resilience,
-                stream,
-            )
-        aligner = aligner_class(
+        return _stream_units(
+            target_assembly,
+            query_assembly,
             resolved_config,
-            tracer=tracer,
-            index_cache=cache,
-            resilience=resilience,
+            aligner_class,
+            tracer,
+            executor,
+            cache,
+            manifest,
+            resilience.stats if resilience is not None else None,
+            telemetry.progress if telemetry is not None else executor.progress,
         )
-        alignments: List[Alignment] = []
-        workload = Workload()
-        with tracer.span("align_assemblies") as span:
-            for ti, target in enumerate(target_assembly):
-                # Built on first non-journaled unit: a fully resumed
-                # target never pays for index construction.
-                index = None
-                for qi, query in enumerate(query_assembly):
-                    key = _unit_key(ti, target, qi, query)
-                    if manifest is not None and key in manifest:
-                        result = manifest.result_for(key)
-                        span.inc("resumed_units")
-                        if stats is not None:
-                            stats.resumed_units += 1
-                    else:
-                        if index is None:
-                            index = aligner._build_index(target)
-                        result = aligner.align(target, query, index=index)
-                        if manifest is not None:
-                            manifest.record(key, result)
-                            if stats is not None:
-                                stats.journaled_units += 1
-                    alignments.extend(result.alignments)
-                    workload.merge(result.workload)
-                    span.inc("chromosome_pairs")
-                    progress.advance(
-                        units=1,
-                        cells=result.workload.filter_cells
-                        + result.workload.extension_cells,
-                    )
-        alignments.sort(key=lambda a: -a.score)
-        return WGAResult(alignments=alignments, workload=workload)
     finally:
         if owns_engine:
             pool.close()
 
 
-def _assembly_units(target_assembly, query_assembly):
-    """Lazy serial-order unit stream (the producer stage)."""
-    for ti, target in enumerate(target_assembly):
-        for qi, query in enumerate(query_assembly):
-            yield ti, target, qi, query
-
-
-def _align_assemblies_parallel(
+def _stream_units(
     target_assembly,
     query_assembly,
     resolved_config,
     aligner_class,
     tracer,
-    engine: ExecutionEngine,
+    executor: Executor,
     cache: Optional[SeedIndexCache],
     manifest: Optional[RunManifest],
     stats,
-    resilience: Optional[ResilienceOptions] = None,
-    stream: Optional[StreamParams] = None,
+    progress,
 ) -> WGAResult:
-    """Stream (target chromosome, query chromosome) units over the engine.
+    """Stream (target chromosome, query chromosome) units over ``executor``.
 
     Units flow through a bounded in-flight window (a
-    :class:`~repro.core.stream.BoundedQueue` of ``unit_window`` slots)
-    instead of being dispatched wholesale up front: the producer shares
-    sequences and dispatches lazily, throttled whenever the window is
-    full, so pending pickled results stay bounded and memory flat at
-    any assembly size.  Submission and result gathering both follow the
-    serial iteration order, and each unit is internally serial, so
-    alignments, workload counters and the final stable sort reproduce
-    the serial run exactly — including under supervised recovery
-    (retries, pool rebuilds and serial fallbacks change where a unit
-    runs, never its value or its position in the gather order) and
-    under resume (journaled units are replayed at their original
-    positions, passing through the window without occupying a slot).
+    :class:`~repro.core.stream.BoundedQueue` of
+    :func:`~repro.core.stream.unit_window` slots; one unit inline): the
+    producer shares sequences and dispatches lazily, throttled whenever
+    the window is full, so pending results stay bounded and memory flat
+    at any assembly size.  Submission and gathering both follow the
+    serial iteration order and each unit is internally serial, so the
+    result is the same on every executor — including under supervised
+    recovery (retries, pool rebuilds and serial fallbacks change where a
+    unit runs, never its value or its position in the gather order) and
+    under resume (journaled units ride the window as markers, without
+    occupying a slot, and merge at their original positions).
     """
     traced = tracer.enabled
     cache_dir = str(cache.directory) if cache is not None else None
-    telemetry = engine.telemetry
+    telemetry = executor.telemetry
     registry = telemetry.registry if telemetry is not None else None
-    bus = engine.bus
-    progress = engine.progress
-    stream = stream or StreamParams()
-    window = stream.unit_window_for(engine.workers)
-    occupancy = StreamStats(slots=engine.workers)
+    bus = executor.bus
+    window = unit_window(executor.workers)
+    occupancy = StreamStats(slots=executor.workers)
     alignments: List[Alignment] = []
     workload = Workload()
     with tracer.span("align_assemblies") as span:
-        units = _assembly_units(target_assembly, query_assembly)
+        # The producer stage: a lazy stream in serial order.
+        units = (
+            (ti, target, qi, query)
+            for ti, target in enumerate(target_assembly)
+            for qi, query in enumerate(query_assembly)
+        )
         queue = BoundedQueue("assembly_units", capacity=window)
         target_handles: dict = {}
         outstanding = 0
@@ -637,23 +582,23 @@ def _align_assemblies_parallel(
             if ti not in target_handles:
                 if cache is not None:
                     # Warm the on-disk index once per target so every
-                    # worker unit loads it as a cache hit.
+                    # unit loads it as a cache hit.
                     cache.get_or_build(
                         target, resolved_config.seed, tracer=tracer
                     )
-                target_handles[ti] = engine.share(target)
+                target_handles[ti] = executor.share(target)
             base = tracer.now()
             if bus is not None:
                 # Workers stream this unit's spans with relative
                 # timestamps; the bus grafts them onto the parent
                 # timeline at the unit's dispatch offset.
                 bus.register_unit(key, base)
-            ticket = engine.dispatch(
+            ticket = executor.dispatch(
                 align_unit_task,
                 aligner_class,
                 resolved_config,
                 target_handles[ti],
-                engine.share(query),
+                executor.share(query),
                 cache_dir,
                 traced,
                 key,
@@ -681,8 +626,8 @@ def _align_assemblies_parallel(
                 if stats is not None:
                     stats.resumed_units += 1
             else:
-                _stall_if_planned(resilience, key)
-                result, span_dicts, ack = engine.result(
+                _stall_if_planned(executor.resilience, key)
+                (result, quarantined), span_dicts, ack = executor.result(
                     ticket, tracer=tracer
                 )
                 outstanding -= 1
@@ -698,13 +643,15 @@ def _align_assemblies_parallel(
                 if bus is not None and ack is not None:
                     bus.record_ack(ack, done_at=collected)
                 if traced and span_dicts is not None:
-                    # Bus-less engine: spans came back inline; tag them
-                    # the way the bus would so trace consumers see one
-                    # shape.
+                    # Spans came back with the result (inline, or a
+                    # bus-less engine); tag them the way the bus would
+                    # so trace consumers see one shape.
                     for grafted in graft_span_dicts(
                         tracer, span_dicts, base=base
                     ):
                         grafted.attrs.setdefault("unit", key)
+                if stats is not None:
+                    stats.quarantined_entries += quarantined
                 if manifest is not None:
                     manifest.record(key, result)
                     if stats is not None:

@@ -10,7 +10,7 @@ over an :class:`~repro.core.executor.Executor`:
   strands' anchors are ever materialized, so memory stays flat;
 * the **extension frontier** forms anchor batches in strict serial
   order and dispatches them to the executor as soon as the in-flight
-  watermark (``max_in_flight_anchors``) has room — no end-of-strand
+  watermark (:func:`in_flight_limit`) has room — no end-of-strand
   barrier: the next strand's producer step runs while the previous
   strand's last batches are still in flight;
 * the **sink** collects results strictly in dispatch order and replays
@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from ..align.alignment import Alignment
 from ..obs.export import graft_span_dicts
@@ -59,7 +58,6 @@ from .worker import extend_batch_task
 __all__ = [
     "BoundedQueue",
     "StrandStream",
-    "StreamParams",
     "stream_extension",
 ]
 
@@ -124,48 +122,39 @@ class BoundedQueue:
         return self._items[0] if self._items else None
 
 
-@dataclass(frozen=True)
-class StreamParams:
-    """Tuning knobs for the streaming dataflow (zero means "derive").
+def in_flight_limit(workers: int) -> int:
+    """The speculation watermark: anchors dispatched ahead of the
+    committed coverage grid.
 
-    ``max_in_flight_anchors`` is the speculation watermark: how many
-    anchors may be dispatched ahead of the committed coverage grid.
     Smaller windows waste fewer speculative extensions (an anchor
     dispatched against a stale grid may be absorbed at replay and its
-    work discarded); larger windows keep more workers fed.  The default
-    is one anchor per worker: eager replay refills a freed slot as soon
-    as its result settles, so extra slack mostly buys wasted
-    speculation.
-
-    ``unit_window`` bounds the (target, query) units in flight in a
-    parallel :func:`~repro.core.pipeline.align_assemblies` run.
-
-    ``defer_diagonal_bp`` is a dependence heuristic, not a correctness
-    knob: an in-flight anchor's alignment runs along its diagonal
-    ``target_pos - query_pos``, so a later anchor within that band is
-    the one most likely to be absorbed once the in-flight result
-    commits.  Deferring its dispatch until then (never reordering —
-    the frontier simply pauses) converts near-certain wasted
-    speculation into a short wait; anchors on distant diagonals still
-    dispatch freely.  Zero disables deferral.
+    work discarded); larger windows keep more workers fed.  One anchor
+    per worker: eager replay refills a freed slot as soon as its result
+    settles, so extra slack mostly buys wasted speculation.
     """
-
-    max_in_flight_anchors: int = 0  # 0 -> one per worker
-    unit_window: int = 0  # 0 -> max(2 * workers, workers + 2)
-    defer_diagonal_bp: int = 256
-
-    def in_flight_limit(self, workers: int) -> int:
-        if self.max_in_flight_anchors > 0:
-            return self.max_in_flight_anchors
-        return max(1, workers)
-
-    def unit_window_for(self, workers: int) -> int:
-        if self.unit_window > 0:
-            return self.unit_window
-        return max(2 * workers, workers + 2)
+    return max(1, workers)
 
 
-DEFAULT_STREAM = StreamParams()
+def unit_window(workers: int) -> int:
+    """(target, query) units in flight in
+    :func:`~repro.core.pipeline.align_assemblies`.
+
+    Two per pool worker, so no worker idles while the parent collects;
+    one inline, where the parent is the worker and a queued unit would
+    only hold back its own commit (journal record, progress).
+    """
+    return 2 * workers if workers > 1 else 1
+
+
+#: Dependence band for speculation, a heuristic and not a correctness
+#: knob: an in-flight anchor's alignment runs along its diagonal
+#: ``target_pos - query_pos``, so a later anchor within this band is the
+#: one most likely to be absorbed once the in-flight result commits.
+#: Deferring its dispatch until then (never reordering — the frontier
+#: simply pauses) converts near-certain wasted speculation into a short
+#: wait; anchors on distant diagonals still dispatch freely.  Zero
+#: disables deferral.
+DEFER_DIAGONAL_BP = 256
 
 
 class StrandStream:
@@ -242,7 +231,6 @@ def stream_extension(
     params,
     engine: Executor,
     tracer=NULL_TRACER,
-    stream: Optional[StreamParams] = None,
     keep_tile_traces: bool = True,
 ) -> Tuple[List[StrandStream], StreamStats]:
     """Drive ``strand_count`` strands through the streamed frontier.
@@ -259,8 +247,7 @@ def stream_extension(
     worker count: each strand's alignments, workload and coverage grid
     evolve exactly as in a plain serial loop over its anchors.
     """
-    stream = stream or DEFAULT_STREAM
-    limit = stream.in_flight_limit(engine.workers)
+    limit = in_flight_limit(engine.workers)
     resilience = engine.resilience
     traced = tracer.enabled
     telemetry = engine.telemetry
@@ -295,13 +282,13 @@ def stream_extension(
         """Whether to pause speculation on ``anchor`` (scheduling only).
 
         True when a same-strand anchor already in flight (or in the
-        batch being formed) sits within ``defer_diagonal_bp`` of this
+        batch being formed) sits within :data:`DEFER_DIAGONAL_BP` of this
         anchor's diagonal — its alignment will likely absorb this one,
         so dispatching now is near-certain waste.  Deferring never
         reorders: the frontier stops forming and resumes after the
         blocking result commits.
         """
-        band = stream.defer_diagonal_bp
+        band = DEFER_DIAGONAL_BP
         if band <= 0:
             return False
         diag = anchor.target_pos - anchor.query_pos

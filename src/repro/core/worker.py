@@ -1,18 +1,19 @@
 """Task functions executed inside worker processes.
 
 Everything here is a module-level function (picklable by reference) that
-receives :class:`~repro.parallel.engine.SequenceHandle` objects instead
-of sequences, attaches the shared-memory blocks once per process, and —
-when the parent is tracing — records its work on a worker-local
-:class:`~repro.obs.tracer.Tracer`.
+receives :class:`~repro.parallel.engine.SequenceHandle` objects (run
+inline, the sequences themselves), attaches the shared-memory blocks
+once per process, and — when the parent is tracing — records its work
+on a worker-local :class:`~repro.obs.tracer.Tracer`.
 
 Telemetry travels one of two ways.  With a bus publisher installed in
 this process (the engine's pool initializer did it), span trees, funnel
 counters and resource samples **stream** over the bus as each task
 finishes, and the task returns a small delivery ack instead of the
 span payload.  Without a publisher — workers of a bus-less engine, or
-the parent process running a serial fallback — spans return inline with
-the result exactly as before.  Either way every task returns the same
+the parent process running a serial fallback or an inline
+(:class:`~repro.core.executor.InlineExecutor`) task — spans return
+inline with the result.  Either way every task returns the same
 ``(value, span_dicts_or_None, ack_or_None)`` shape.
 
 Worker output discipline: tasks never write to stdout (the parent owns
@@ -178,24 +179,27 @@ def align_unit_task(
     index_cache_dir: Optional[str],
     traced: bool,
     unit: str = "",
-) -> Tuple[object, Optional[List[dict]], Optional[dict]]:
+) -> Tuple[Tuple[object, int], Optional[List[dict]], Optional[dict]]:
     """Align one (target chromosome, query chromosome) unit serially.
 
-    Both strands run inside the worker; with an index-cache directory
-    the worker loads the target's seed index from disk (the parent warms
-    the cache first, so this is a hit) instead of rebuilding it.  The
-    unit's funnel counters and span tree stream over the telemetry bus
-    when one is installed (see :func:`_finish_task`).
+    Both strands run inside the task.  With an index-cache directory
+    the target's seed index is loaded from disk (the parent warmed it,
+    so this is a hit).  The value is ``(result, quarantined)``: the
+    :class:`~repro.core.pipeline.WGAResult` and the corrupt cache
+    entries this load quarantined, for the parent's recovery counters.
+    Funnel counters and spans stream over the telemetry bus when one is
+    installed (see :func:`_finish_task`).
     """
     target = resolve_sequence(target_handle)
     query = resolve_sequence(query_handle)
     tracer = _worker_tracer(traced)
     aligner = aligner_class(config, tracer=tracer)
     index = None
+    quarantined = 0
     if index_cache_dir is not None:
-        index = SeedIndexCache(index_cache_dir).get_or_build(
-            target, aligner.config.seed, tracer=tracer
-        )
+        cache = SeedIndexCache(index_cache_dir)
+        index = cache.get_or_build(target, aligner.config.seed, tracer=tracer)
+        quarantined = cache.quarantined
     result = aligner.align(target, query, index=index)
     workload = result.workload
     funnel = {
@@ -209,4 +213,4 @@ def align_unit_task(
     span_dicts, ack = _finish_task(
         tracer, traced, unit=unit, funnel=funnel
     )
-    return result, span_dicts, ack
+    return (result, quarantined), span_dicts, ack

@@ -13,7 +13,8 @@ that without changing a single output byte:
   path is provable in tests and CI;
 * :class:`RunManifest` — an append-only journal of completed
   chromosome-pair units with config/genome digests, powering
-  ``--resume``;
+  ``--resume``, written in the crash-safe record format of
+  :mod:`.records` (which the service's job journal shares);
 * :class:`RecoveryStats` — counters proving which recovery paths
   actually executed during a run.
 

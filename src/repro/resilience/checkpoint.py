@@ -14,7 +14,8 @@ Safety properties:
   inputs or parameters;
 * every unit record carries a SHA-256 over its payload — torn or
   corrupted lines (including a partially written final line from the
-  crash itself) are skipped, never trusted;
+  crash itself) are skipped, never trusted (the shared record format of
+  :mod:`repro.resilience.records`);
 * records are pure values keyed by unit, so resuming interleaves
   journaled and freshly computed units in the original serial order and
   the final output is byte-identical to an uninterrupted run.
@@ -22,13 +23,12 @@ Safety properties:
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import os
 import pickle
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
+
+from .records import append_record, create_records, load_records
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -81,10 +81,6 @@ def sequences_digest(sequences) -> str:
     return digest.hexdigest()
 
 
-def _payload_checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
 class RunManifest:
     """Journal of completed work units for one configured run.
 
@@ -119,64 +115,24 @@ class RunManifest:
             "target": target,
             "query": query,
         }
-        manifest = cls(path, header)
-        manifest.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(manifest.path, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return manifest
+        create_records(path, header)
+        return cls(path, header)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
         """Parse an existing journal, skipping torn/corrupt records."""
-        path = Path(path)
-        raw = path.read_bytes()
-        torn_tail = 0
-        if raw and not raw.endswith(b"\n"):
-            # The crash interrupted the final write mid-line.  Chop the
-            # torn bytes now: they can never parse, and leaving them in
-            # place would make the next `record()` append continue the
-            # partial line — merging a good record into garbage that a
-            # second crash-and-resume would then skip.
-            keep = raw.rfind(b"\n") + 1
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-            raw = raw[:keep]
-            torn_tail = 1
-        lines = raw.decode("utf-8").splitlines()
-        if not lines:
-            raise ManifestError(f"{path}: empty manifest")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise ManifestError(f"{path}: unreadable manifest header")
-        if header.get("kind") != "header":
-            raise ManifestError(f"{path}: first record is not a header")
-        if header.get("version") != MANIFEST_VERSION:
-            raise ManifestError(
-                f"{path}: unsupported manifest version "
-                f"{header.get('version')!r}"
-            )
+        header, units, skipped = load_records(
+            path,
+            label="manifest",
+            version=MANIFEST_VERSION,
+            kind="unit",
+            error=ManifestError,
+            parse=lambda record, payload: (record["unit"], payload),
+        )
         manifest = cls(path, header)
-        manifest.skipped_records = torn_tail
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                if record.get("kind") != "unit":
-                    raise ValueError("not a unit record")
-                payload = base64.b64decode(record["payload"])
-                if _payload_checksum(payload) != record["sha256"]:
-                    raise ValueError("checksum mismatch")
-                unit = record["unit"]
-            except (ValueError, KeyError, TypeError):
-                # A torn tail (the crash interrupted the final write) or
-                # a corrupted record: the unit is simply recomputed.
-                manifest.skipped_records += 1
-                continue
-            manifest._units[unit] = payload
+        manifest.skipped_records = skipped
+        # A torn tail or corrupted record is simply recomputed.
+        manifest._units = dict(units)
         return manifest
 
     @classmethod
@@ -245,17 +201,5 @@ class RunManifest:
     def record(self, unit: str, result) -> None:
         """Append one completed unit (flushed + fsynced)."""
         payload = pickle.dumps(result, protocol=4)
-        line = json.dumps(
-            {
-                "kind": "unit",
-                "unit": unit,
-                "sha256": _payload_checksum(payload),
-                "payload": base64.b64encode(payload).decode("ascii"),
-            },
-            sort_keys=True,
-        )
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_record(self.path, "unit", payload, unit=unit)
         self._units[unit] = payload

@@ -1,23 +1,17 @@
 """Crash-safe job journal: fsync'd append-only JSONL events.
 
 The serving daemon must survive ``kill -9`` without losing or
-double-running work, which is the same durability problem
-:class:`~repro.resilience.checkpoint.RunManifest` already solves for
-chromosome-pair units — so the journal reuses its record discipline
-verbatim:
-
-* one JSON object per line, header first, appended with
-  ``flush`` + ``fsync`` so a crash loses at most the line in flight;
-* every event record carries a SHA-256 over its (base64) payload —
-  a torn tail (the crash interrupted the final write) or a corrupted
-  line is *skipped*, never trusted;
-* events are append-only facts (``submitted`` / ``started`` /
-  ``done`` / ``failed`` / ``expired`` / ``cancelled``); the current
-  job table is a pure fold over them
-  (:func:`repro.service.jobs.replay_jobs`), so replay after a crash
-  reconstructs exactly the pre-crash state: completed jobs keep their
-  recorded results, in-flight jobs go back to the queue and resume
-  from their per-job checkpoints.
+double-running work, which is the durability problem
+:class:`~repro.resilience.checkpoint.RunManifest` solves for
+chromosome-pair units, so the journal is the same record file
+(:mod:`repro.resilience.records`: a crash loses at most the line in
+flight, and a torn or corrupted line is skipped, never trusted).
+Events are append-only facts (``submitted`` / ``started`` / ``done`` /
+``failed`` / ``expired`` / ``cancelled``); the current job table is a
+pure fold over them (:func:`repro.service.jobs.replay_jobs`), so replay
+after a crash reconstructs exactly the pre-crash state: completed jobs
+keep their recorded results, in-flight jobs go back to the queue and
+resume from their per-job checkpoints.
 
 Appends may come from the HTTP loop thread (admission) and the runner
 thread (execution) concurrently; the journal serialises them under a
@@ -26,13 +20,12 @@ lock.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Union
+
+from ..resilience.records import append_record, create_records, load_records
 
 __all__ = ["JOURNAL_VERSION", "JobJournal", "JournalError"]
 
@@ -42,10 +35,6 @@ JOURNAL_VERSION = 1
 
 class JournalError(RuntimeError):
     """The journal file is unusable (bad header, wrong version)."""
-
-
-def _payload_checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
 
 
 class JobJournal:
@@ -63,65 +52,29 @@ class JobJournal:
     def create(cls, path: Union[str, Path]) -> "JobJournal":
         """Start a fresh journal at ``path`` (truncating any old one)."""
         header = {"kind": "header", "version": JOURNAL_VERSION}
-        journal = cls(path, header)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(journal.path, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return journal
+        create_records(path, header)
+        return cls(path, header)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "JobJournal":
-        """Parse an existing journal, skipping torn/corrupt records."""
-        path = Path(path)
-        raw = path.read_bytes()
-        torn_tail = 0
-        if raw and not raw.endswith(b"\n"):
-            # kill -9 interrupted the final write.  Chop the torn bytes
-            # now: they can never parse, and leaving them would make
-            # the *next* append continue the partial line — merging a
-            # good record into garbage that a later replay would skip.
-            keep = raw.rfind(b"\n") + 1
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-            raw = raw[:keep]
-            torn_tail = 1
-        lines = raw.decode("utf-8").splitlines()
-        if not lines:
-            raise JournalError(f"{path}: empty journal")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise JournalError(f"{path}: unreadable journal header")
-        if header.get("kind") != "header":
-            raise JournalError(f"{path}: first record is not a header")
-        if header.get("version") != JOURNAL_VERSION:
-            raise JournalError(
-                f"{path}: unsupported journal version "
-                f"{header.get('version')!r}"
-            )
+        """Parse an existing journal, skipping torn/corrupt records.
+
+        A skipped event never durably happened.  For ``submitted`` the
+        client saw no ack (the journal is written before the HTTP
+        response); for ``done`` the job simply re-runs from its
+        checkpoint.
+        """
+        header, events, skipped = load_records(
+            path,
+            label="journal",
+            version=JOURNAL_VERSION,
+            kind="event",
+            error=JournalError,
+            parse=lambda record, payload: json.loads(payload.decode("utf-8")),
+        )
         journal = cls(path, header)
-        journal.skipped_records = torn_tail
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                if record.get("kind") != "event":
-                    raise ValueError("not an event record")
-                payload = base64.b64decode(record["payload"])
-                if _payload_checksum(payload) != record["sha256"]:
-                    raise ValueError("checksum mismatch")
-                event = json.loads(payload.decode("utf-8"))
-            except (ValueError, KeyError, TypeError):
-                # Torn tail or corruption: the event never durably
-                # happened.  For `submitted` the client saw no ack (the
-                # journal is written before the HTTP response); for
-                # `done` the job simply re-runs from its checkpoint.
-                journal.skipped_records += 1
-                continue
-            journal.events.append(event)
+        journal.skipped_records = skipped
+        journal.events = events
         return journal
 
     @classmethod
@@ -144,19 +97,8 @@ class JobJournal:
     def append(self, event: Dict) -> Dict:
         """Durably append one event (flushed + fsynced) and return it."""
         payload = json.dumps(event, sort_keys=True).encode("utf-8")
-        line = json.dumps(
-            {
-                "kind": "event",
-                "sha256": _payload_checksum(payload),
-                "payload": base64.b64encode(payload).decode("ascii"),
-            },
-            sort_keys=True,
-        )
         with self._lock:
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_record(self.path, "event", payload)
             self.events.append(event)
         return event
 

@@ -1,7 +1,9 @@
 """FLOW001–FLOW003: one true positive and one true negative each,
 plus the suppression interactions the rules promise."""
 
-from .helpers import lint_tree, rules_of
+import pytest
+
+from .helpers import lint_snippet, lint_tree, rules_of
 
 # ---------------------------------------------------------------------------
 # FLOW001
@@ -271,3 +273,68 @@ def test_flow003_quiet_when_helper_never_submits():
 def test_flow_rules_do_not_run_without_flow_flag():
     findings = lint_tree(_RNG_CHAIN, select=["FLOW001"])
     assert findings == []
+
+
+# The PAR001/PAR002 true-positive fixtures (tests/analysis/
+# test_parallel_rules.py): FLOW003 must flag each one as well, so the
+# flow pass loses nothing the syntactic rules catch.
+_PAR_TRUE_POSITIVES = {
+    "PAR001": """
+    def fan_out(engine, items):
+        return [engine.submit(lambda x: x * 2, item)
+                for item in items]
+    """,
+    "PAR002": """
+    def fan_out(engine, items, scale):
+        def task(x):
+            return x * scale
+        return [engine.submit(task, item) for item in items]
+    """,
+    "PAR002-assigned": """
+    def fan_out(engine, items):
+        task = lambda x: x * 2
+        return [engine.submit(task, item) for item in items]
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAR_TRUE_POSITIVES))
+def test_flow003_flags_every_par_true_positive(case):
+    source = _PAR_TRUE_POSITIVES[case]
+    par = lint_snippet(source, select=["PAR001", "PAR002"])
+    assert rules_of(par) == [case.split("-")[0]]
+    findings = lint_tree(
+        {"repro.core.driver": source}, select=["FLOW003"], flow=True
+    )
+    assert rules_of(findings) == ["FLOW003"]
+    assert "task callable" in findings[0].message
+
+
+def test_flow003_fires_on_callable_passed_through_a_helper():
+    tree = {
+        "repro.core.driver": """
+        def _dispatch(engine, fn, arg):
+            return engine.submit(fn, arg)
+
+        def run(engine):
+            def inner(x):
+                return x
+            return _dispatch(engine, inner, 3)
+        """,
+    }
+    findings = lint_tree(tree, select=["FLOW003"], flow=True)
+    assert rules_of(findings) == ["FLOW003"]
+    assert "nested function inner" in findings[0].message
+
+
+def test_flow003_quiet_on_module_level_task_callable():
+    tree = {
+        "repro.core.driver": """
+        def double_task(x):
+            return x * 2
+
+        def fan_out(engine, items):
+            return [engine.submit(double_task, item) for item in items]
+        """,
+    }
+    assert lint_tree(tree, select=["FLOW003"], flow=True) == []

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.core import DarwinWGA
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import align_assemblies
-from repro.core.stream import BoundedQueue, StreamParams
+from repro.core.stream import BoundedQueue
 from repro.core import stream as stream_module
 from repro.genome import Assembly, Sequence, make_species_pair
 from repro.lastz import LastzAligner
@@ -121,9 +122,13 @@ class TestStreamedIdentity:
                 result = aligner.align(*pair)
             assert_same_result(serial_lastz, result)
 
-    def test_tight_watermark_matches_serial(self, pair, serial_darwin):
-        params = StreamParams(max_in_flight_anchors=1)
-        with DarwinWGA(workers=2, stream_params=params) as aligner:
+    def test_tight_watermark_matches_serial(
+        self, pair, serial_darwin, monkeypatch
+    ):
+        monkeypatch.setattr(
+            stream_module, "in_flight_limit", lambda workers: 1
+        )
+        with DarwinWGA(workers=2) as aligner:
             result = aligner.align(*pair)
         assert_same_result(serial_darwin, result)
         assert aligner.last_stream["peak_in_flight"] == 1
@@ -150,11 +155,12 @@ class TestSerialIsTheStream:
 
 
 class TestBackpressure:
-    def test_watermark_bounds_speculation(self, pair):
-        params = StreamParams(
-            max_in_flight_anchors=2, defer_diagonal_bp=0
+    def test_watermark_bounds_speculation(self, pair, monkeypatch):
+        monkeypatch.setattr(
+            stream_module, "in_flight_limit", lambda workers: 2
         )
-        with DarwinWGA(workers=2, stream_params=params) as aligner:
+        monkeypatch.setattr(stream_module, "DEFER_DIAGONAL_BP", 0)
+        with DarwinWGA(workers=2) as aligner:
             aligner.align(*pair)
         stats = aligner.last_stream
         assert stats["peak_in_flight"] <= 2
@@ -163,24 +169,20 @@ class TestBackpressure:
         # full, and every refusal was counted.
         assert stats["backpressure_stalls"] > 0
 
-    def test_slow_consumer_blocks_producers(self, pair, serial_darwin):
+    def test_slow_consumer_blocks_producers(
+        self, pair, serial_darwin, monkeypatch
+    ):
         """Injected stalls slow every collection; the bounded window
         must hold speculation at the watermark and output must not
         change."""
         sleeps = []
-        real_sleep = stream_module._sleep
-        stream_module._sleep = sleeps.append
-        try:
-            options = ResilienceOptions(
-                fault_plan=FaultPlan(5, {"stall": 1.0})
-            )
-            params = StreamParams(max_in_flight_anchors=2)
-            with DarwinWGA(
-                workers=2, stream_params=params, resilience=options
-            ) as aligner:
-                result = aligner.align(*pair)
-        finally:
-            stream_module._sleep = real_sleep
+        monkeypatch.setattr(stream_module, "_sleep", sleeps.append)
+        monkeypatch.setattr(
+            stream_module, "in_flight_limit", lambda workers: 2
+        )
+        options = ResilienceOptions(fault_plan=FaultPlan(5, {"stall": 1.0}))
+        with DarwinWGA(workers=2, resilience=options) as aligner:
+            result = aligner.align(*pair)
         assert_same_result(serial_darwin, result)
         assert aligner.last_stream["peak_in_flight"] <= 2
         stalled = options.stats.injected_faults.get("stall", 0)
@@ -224,16 +226,15 @@ def assemblies():
 
 
 class TestAssemblyUnitWindow:
-    def test_unit_window_bounds_in_flight(self, assemblies):
+    def test_unit_window_bounds_in_flight(self, assemblies, monkeypatch):
         target, query = assemblies
         serial = align_assemblies(target, query)
+        monkeypatch.setattr(
+            pipeline_module, "unit_window", lambda workers: 1
+        )
         tracer = Tracer()
         streamed = align_assemblies(
-            target,
-            query,
-            workers=2,
-            tracer=tracer,
-            stream=StreamParams(unit_window=1),
+            target, query, workers=2, tracer=tracer
         )
         assert streamed.alignments == serial.alignments
         span = next(

@@ -84,3 +84,41 @@ class TestValidation:
     def test_bad_line_width(self, records):
         with pytest.raises(ValueError):
             fasta_string(records, line_width=0)
+
+
+class TestAlphabet:
+    def test_whitespace_inside_a_line_is_dropped(self):
+        (record,) = read_fasta(io.StringIO(">a\nAC GT\tA"))
+        assert str(record) == "ACGTA"
+
+    def test_leading_whitespace_and_crlf_are_dropped(self):
+        (record,) = read_fasta(io.StringIO(">a\r\n  AC\r\n\tGT \r\n"))
+        assert str(record) == "ACGT"
+
+    @pytest.mark.parametrize("code", "RYSWKMBDHVNryswkmbdhvn")
+    def test_iupac_ambiguity_codes_read_as_n(self, code):
+        (record,) = read_fasta(io.StringIO(f">a\nA{code}T\n"))
+        assert str(record) == "ANT"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (">a\nAC-GT\n", "record 'a', line 2, column 3: .*'-'"),
+            (">a\nAC*GT\n", "record 'a', line 2, column 3: .*'\\*'"),
+            (">a\nACGT\n  AC9\n", "record 'a', line 3, column 5: .*'9'"),
+            (">a\nACGU\n", "record 'a', line 2, column 4: .*'U'"),
+            (">a\nAC\u00e9\n", "record 'a', line 2, column 3: .*'\u00e9'"),
+            (">a x\nAC\n>b\nAC GT Z\n", "record 'b', line 4, column 7"),
+        ],
+    )
+    def test_other_characters_are_rejected_with_position(
+        self, text, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            read_fasta(io.StringIO(text))
+
+    def test_rejection_is_lazy_per_record(self):
+        iterator = iter_fasta(io.StringIO(">a\nAC\n>b\nA-C\n"))
+        assert str(next(iterator)) == "AC"
+        with pytest.raises(ValueError, match="record 'b'"):
+            next(iterator)

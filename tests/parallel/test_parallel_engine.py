@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import DarwinWGA
 from repro.core.pipeline import align_assemblies
+from repro.core.worker import resolve_sequence
 from repro.genome import Assembly, Sequence, make_species_pair, markov_genome
 from repro.lastz import LastzAligner
 from repro.obs import Tracer, run_report
-from repro.parallel import ExecutionEngine, resolve_sequence
+from repro.parallel import ExecutionEngine
 
 WORKLOAD_FIELDS = (
     "seed_hits",

@@ -1,5 +1,8 @@
 """Run manifests: journal/replay, torn tails, digest verification."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,34 @@ class TestRunManifest:
         )
         assert len(fresh) == 0
         assert len(RunManifest.load(path)) == 0
+
+
+#: A version-1 manifest as the format was first written; the bytes a
+#: manifest puts on disk must never drift from it.
+V1_MANIFEST = Path(__file__).parent / "data" / "run_manifest_v1.jsonl"
+V1_HEADER = dict(
+    aligner="DarwinWGA", config="c0ffee", target="7a96e7", query="9e7a11"
+)
+V1_UNITS = {
+    "0:chr1|0:chrA": ["chr1", "chrA", 3, 1.5],
+    "0:chr1|1:chrB": {"alignments": 0, "matched_bp": 0},
+}
+
+
+class TestOnDiskFormat:
+    def test_loads_a_version_1_manifest(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        shutil.copyfile(V1_MANIFEST, path)
+        manifest = RunManifest.load(path)
+        manifest.verify(**V1_HEADER)
+        assert manifest.units == list(V1_UNITS)
+        for unit, value in V1_UNITS.items():
+            assert manifest.result_for(unit) == value
+        assert manifest.skipped_records == 0
+
+    def test_writes_version_1_bytes(self, tmp_path):
+        path = tmp_path / "run.manifest"
+        manifest = RunManifest.create(path, **V1_HEADER)
+        for unit, value in V1_UNITS.items():
+            manifest.record(unit, value)
+        assert path.read_bytes() == V1_MANIFEST.read_bytes()

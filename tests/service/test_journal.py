@@ -1,6 +1,8 @@
 """Crash-safety of the job journal: torn tails, replay, idempotence."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,23 @@ class TestReplay:
         # invent half-known jobs.
         jobs = replay_jobs([{"event": "started", "id": "ghost"}])
         assert jobs == {}
+
+
+#: A version-1 journal as the format was first written (the first three
+#: EVENTS); the bytes a journal puts on disk must never drift from it.
+V1_JOURNAL = Path(__file__).parent / "data" / "job_journal_v1.jsonl"
+
+
+class TestOnDiskFormat:
+    def test_loads_a_version_1_journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        shutil.copyfile(V1_JOURNAL, path)
+        loaded = JobJournal.load(path)
+        assert loaded.header == {"kind": "header", "version": 1}
+        assert loaded.events == EVENTS[:3]
+        assert loaded.skipped_records == 0
+
+    def test_writes_version_1_bytes(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        write_journal(path, EVENTS[:3])
+        assert path.read_bytes() == V1_JOURNAL.read_bytes()
